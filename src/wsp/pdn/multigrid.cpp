@@ -14,6 +14,24 @@ namespace {
 // same break-even reasoning as the sweep grain in resistive_grid.cpp.
 constexpr std::size_t kNodeGrain = 256;
 
+// The multigrid schedule.  V(1,1) — one red-black sweep before and after
+// each coarse-grid correction — with a mild over-relaxation measured
+// fastest to converge across 16x16-128x128 wafer planes: the per-cycle
+// contraction is ~0.04, so extra sweeps per cycle buy less than they cost.
+// The smoother's job is killing high-frequency error, not propagating
+// information across the grid, so its factor stays near 1.
+constexpr int kPreSmooth = 1;
+constexpr int kPostSmooth = 1;
+// The last pre-smooth sweep yields the residual as a by-product (cycle()).
+static_assert(kPreSmooth >= 1);
+constexpr double kSmoothOmega = 1.10;
+// Convergence is grid-size-independent, so a converged solve takes ~6-10
+// cycles at any resolution; the cap only bounds a stalled solve.
+constexpr int kMaxCycles = 60;
+// Stop coarsening once a level has at most this many nodes and solve it
+// with a dense Cholesky factorization instead.
+constexpr int kCoarsestNodes = 64;
+
 // Coarse size of an axis of `n` nodes: every other node, both boundary
 // lines always kept (so Dirichlet edges survive on every level and grid
 // sizes need not be 2^k+1).  n == 2 cannot coarsen further.
@@ -262,10 +280,8 @@ MultigridHierarchy::Level MultigridHierarchy::coarsen(const Level& fine) {
   return c;
 }
 
-MultigridHierarchy::MultigridHierarchy(const ResistiveGrid& fine,
-                                       int coarsest_nodes) {
+MultigridHierarchy::MultigridHierarchy(const ResistiveGrid& fine) {
   WSP_TRACE_SPAN("pdn.mg.build");
-  require(coarsest_nodes >= 4, "multigrid coarsest level needs >= 4 nodes");
   Level l0;
   l0.width = fine.width();
   l0.height = fine.height();
@@ -283,7 +299,7 @@ MultigridHierarchy::MultigridHierarchy(const ResistiveGrid& fine,
 
   while (true) {
     const Level& top = levels_.back();
-    if (static_cast<long long>(top.width) * top.height <= coarsest_nodes)
+    if (static_cast<long long>(top.width) * top.height <= kCoarsestNodes)
       break;
     if (coarse_dim(top.width) == top.width &&
         coarse_dim(top.height) == top.height)
@@ -298,7 +314,7 @@ void MultigridHierarchy::build_direct_solver() {
   // nodes.  The operator is a grounded resistor network's conductance
   // matrix: symmetric, diagonally dominant, positive definite as long as
   // every active component reaches a Dirichlet node or shunt — exactly the
-  // condition for any solver (SOR included) to have a unique solution.
+  // condition for the nodal system to have a unique solution.
   const Level& bottom = levels_.back();
   const auto nodes = static_cast<std::size_t>(bottom.width) * bottom.height;
   direct_index_.assign(nodes, -1);
@@ -332,9 +348,12 @@ void MultigridHierarchy::build_direct_solver() {
 
   // In-place lower Cholesky (row-major).
   for (std::size_t j = 0; j < n; ++j) {
+    // A floating region makes the operator singular: its last pivot
+    // cancels to rounding noise of either sign, so the test is relative.
     double d = a[j * n + j];
+    const double diag = d;
     for (std::size_t k = 0; k < j; ++k) d -= a[j * n + k] * a[j * n + k];
-    require(d > 0.0,
+    require(d > 1e-12 * diag,
             "multigrid coarsest operator is not positive definite — the "
             "grid has a floating region no Dirichlet node or shunt grounds");
     const double ljj = std::sqrt(d);
@@ -423,7 +442,7 @@ double MultigridHierarchy::prolong_correct(const Level& coarse,
                                            double* fine_v) const {
   // Bilinear interpolation of the coarse error into the fine level's
   // active nodes only — isolated fine nodes keep their untouched values,
-  // matching the SOR solver's behaviour exactly.  Uses the flattened
+  // which the smoother never writes either.  Uses the flattened
   // per-node gather built at coarsening time.
   const std::int32_t* idx = coarse.prolong_idx.data();
   const double* w = coarse.prolong_w.data();
@@ -473,9 +492,19 @@ double MultigridHierarchy::solve_direct(Workspace& ws, const double* rhs,
   return max_x;
 }
 
+namespace {
+// One red+black smoothing sweep; returns the max |update|.
+double smooth(const std::vector<ResistiveGrid::StencilNode> (&stencil)[2],
+              double* v, const double* sink) {
+  const double red =
+      ResistiveGrid::sweep_color(stencil[0], kSmoothOmega, v, sink);
+  return std::max(red, ResistiveGrid::sweep_color(stencil[1], kSmoothOmega,
+                                                  v, sink));
+}
+}  // namespace
+
 double MultigridHierarchy::cycle(std::size_t level, Workspace& ws, double* v,
-                                 const double* sink,
-                                 const SolverConfig& config) const {
+                                 const double* sink) const {
   const Level& L = levels_[level];
   if (level + 1 == levels_.size()) {
     if (level == 0) {
@@ -490,60 +519,34 @@ double MultigridHierarchy::cycle(std::size_t level, Workspace& ws, double* v,
 
   double max_update = 0.0;
   double* r = ws.r[level].data();
-  for (int s = 0; s + 1 < config.pre_smooth; ++s) {
-    max_update = std::max(
-        max_update,
-        ResistiveGrid::sweep_color(L.stencil[0], config.smooth_omega, v, sink));
-    max_update = std::max(
-        max_update,
-        ResistiveGrid::sweep_color(L.stencil[1], config.smooth_omega, v, sink));
-  }
-  if (config.pre_smooth > 0) {
-    // Last pre-smooth sweep: the second color's residual falls out of the
-    // sweep itself, so only the first color needs an explicit half-pass.
-    max_update = std::max(
-        max_update,
-        ResistiveGrid::sweep_color(L.stencil[0], config.smooth_omega, v, sink));
-    max_update = std::max(max_update, ResistiveGrid::sweep_color_residual(
-                                          L.stencil[1], config.smooth_omega, v,
-                                          sink, r));
-    residual_color(L.stencil[0], v, sink, r);
-  } else {
-    residual(L, v, sink, r);
-  }
+  for (int s = 0; s + 1 < kPreSmooth; ++s)
+    max_update = std::max(max_update, smooth(L.stencil, v, sink));
+  // Last pre-smooth sweep: the second color's residual falls out of the
+  // sweep itself, so only the first color needs an explicit half-pass.
+  max_update = std::max(max_update, ResistiveGrid::sweep_color(
+                                        L.stencil[0], kSmoothOmega, v, sink));
+  max_update = std::max(max_update,
+                        ResistiveGrid::sweep_color_residual(
+                            L.stencil[1], kSmoothOmega, v, sink, r));
+  residual_color(L.stencil[0], v, sink, r);
 
   const Level& C = levels_[level + 1];
   restrict_values(C, r, ws.sink[level + 1].data(), -1.0);
   std::fill(ws.v[level + 1].begin(), ws.v[level + 1].end(), 0.0);
-  cycle(level + 1, ws, ws.v[level + 1].data(), ws.sink[level + 1].data(),
-        config);
+  cycle(level + 1, ws, ws.v[level + 1].data(), ws.sink[level + 1].data());
   max_update = std::max(
       max_update, prolong_correct(C, L, ws.v[level + 1].data(), v));
 
-  for (int s = 0; s < config.post_smooth; ++s) {
-    max_update = std::max(
-        max_update,
-        ResistiveGrid::sweep_color(L.stencil[0], config.smooth_omega, v, sink));
-    max_update = std::max(
-        max_update,
-        ResistiveGrid::sweep_color(L.stencil[1], config.smooth_omega, v, sink));
-  }
+  for (int s = 0; s < kPostSmooth; ++s)
+    max_update = std::max(max_update, smooth(L.stencil, v, sink));
   return max_update;
 }
 
-double MultigridHierarchy::v_cycle(Workspace& ws, double* v,
-                                   const double* sink,
-                                   const SolverConfig& config) const {
-  WSP_TRACE_SPAN("pdn.mg.cycle");
-  return cycle(0, ws, v, sink, config);
-}
-
 double MultigridHierarchy::fmg_bootstrap(Workspace& ws, double* v,
-                                         const double* sink,
-                                         const SolverConfig& config) const {
+                                         const double* sink) const {
   WSP_TRACE_SPAN("pdn.mg.fmg");
   const std::size_t bottom = levels_.size() - 1;
-  if (bottom == 0) return cycle(0, ws, v, sink, config);
+  if (bottom == 0) return cycle(0, ws, v, sink);
 
   // Restrict the error-equation rhs of the caller's seed down the whole
   // chain.  At level l >= 1 the seed is zero, so the residual of
@@ -565,27 +568,57 @@ double MultigridHierarchy::fmg_bootstrap(Workspace& ws, double* v,
     std::fill(ws.v[l].begin(), ws.v[l].end(), 0.0);
     prolong_correct(levels_[l + 1], levels_[l], ws.v[l + 1].data(),
                     ws.v[l].data());
-    cycle(l, ws, ws.v[l].data(), ws.sink[l].data(), config);
+    cycle(l, ws, ws.v[l].data(), ws.sink[l].data());
   }
   double max_update =
       prolong_correct(levels_[1], levels_[0], ws.v[1].data(), v);
 
   // Smooth the interpolated correction into the fine grid so the bootstrap
   // hands the first V-cycle the same kind of iterate it would produce.
-  const Level& L = levels_[0];
-  for (int s = 0; s < config.post_smooth; ++s) {
-    max_update = std::max(
-        max_update,
-        ResistiveGrid::sweep_color(L.stencil[0], config.smooth_omega, v, sink));
-    max_update = std::max(
-        max_update,
-        ResistiveGrid::sweep_color(L.stencil[1], config.smooth_omega, v, sink));
-  }
+  for (int s = 0; s < kPostSmooth; ++s)
+    max_update = std::max(max_update, smooth(levels_[0].stencil, v, sink));
   return max_update;
 }
 
-double MultigridHierarchy::sweep_equivalents_per_cycle(
-    const SolverConfig& config) const {
+SolveStats MultigridHierarchy::solve(double* v, const double* sink,
+                                     double tol) const {
+  Workspace ws = make_workspace();
+  // The bootstrap counts as the first iteration: it can converge solves
+  // with a warm seed outright (its correction is tol-comparable).
+  SolveStats stats;
+  stats.iterations = 1;
+  stats.max_delta_v = fmg_bootstrap(ws, v, sink);
+  stats.converged = stats.max_delta_v < tol;
+  double prev_delta = 0.0;
+  while (!stats.converged && stats.iterations < kMaxCycles) {
+    const double max_delta = [&] {
+      WSP_TRACE_SPAN("pdn.mg.cycle");
+      return cycle(0, ws, v, sink);
+    }();
+    ++stats.iterations;
+    stats.max_delta_v = max_delta;
+    stats.converged = max_delta < tol;
+    // For a linearly converging iteration the remaining error after an
+    // update of size d is bounded by d * rho / (1 - rho).  A V-cycle
+    // contracts at a grid-size-independent rho ~ 0.05, so once two
+    // consecutive cycles establish the rate, the solve can stop as soon
+    // as the *error* estimate clears tol instead of burning one more
+    // cycle pushing the update itself below it.  The clamp keeps the
+    // estimate meaningful (and positive) while the rate is still
+    // settling or the iteration is not contracting.
+    if (prev_delta > 0.0 && max_delta < prev_delta) {
+      const double rho = std::min(max_delta / prev_delta, 0.5);
+      if (max_delta * rho / (1.0 - rho) < tol) stats.converged = true;
+    }
+    prev_delta = max_delta;
+  }
+  stats.fine_sweep_equivalents =
+      fmg_sweep_equivalents() +
+      (stats.iterations - 1) * sweep_equivalents_per_cycle();
+  return stats;
+}
+
+double MultigridHierarchy::sweep_equivalents_per_cycle() const {
   const double fine_nodes =
       static_cast<double>(levels_[0].width) * levels_[0].height;
   double total = 0.0;
@@ -595,19 +628,16 @@ double MultigridHierarchy::sweep_equivalents_per_cycle(
     if (l + 1 == levels_.size()) {
       total += rel;  // direct solve, charged as one sweep of its level
     } else {
-      // Smoothing sweeps plus residual + restriction + prolongation.
-      // With at least one pre-smooth the second residual half is fused
-      // into the sweep, leaving ~1.0 sweep of transfer traffic; without
-      // it the full explicit residual costs ~1.5.
-      const double transfers = config.pre_smooth > 0 ? 1.0 : 1.5;
-      total += rel * (config.pre_smooth + config.post_smooth + transfers);
+      // Smoothing sweeps plus residual + restriction + prolongation; the
+      // second residual half is fused into the last pre-smooth sweep,
+      // leaving ~1.0 sweep of transfer traffic.
+      total += rel * (kPreSmooth + kPostSmooth + 1.0);
     }
   }
   return total;
 }
 
-double MultigridHierarchy::fmg_sweep_equivalents(
-    const SolverConfig& config) const {
+double MultigridHierarchy::fmg_sweep_equivalents() const {
   const double fine_nodes =
       static_cast<double>(levels_[0].width) * levels_[0].height;
   auto rel = [&](std::size_t l) {
@@ -615,7 +645,7 @@ double MultigridHierarchy::fmg_sweep_equivalents(
            fine_nodes;
   };
   // Fine level: residual + restriction down, prolongation up, post sweeps.
-  double total = config.post_smooth + 1.5;
+  double total = kPostSmooth + 1.5;
   // Coarsest direct solve plus the rhs chain through every coarse level.
   total += rel(levels_.size() - 1);
   for (std::size_t l = 1; l < levels_.size(); ++l) total += 0.5 * rel(l);
@@ -624,7 +654,7 @@ double MultigridHierarchy::fmg_sweep_equivalents(
     for (std::size_t l = start; l < levels_.size(); ++l)
       total += rel(l) * (l + 1 == levels_.size()
                              ? 1.0
-                             : config.pre_smooth + config.post_smooth + 1.5);
+                             : kPreSmooth + kPostSmooth + 1.5);
   return total;
 }
 

@@ -1,16 +1,14 @@
-// Geometric multigrid hierarchy for the resistive-plane solver.
+// Geometric multigrid hierarchy: the resistive-plane solver.
 //
-// Red-black SOR is an O(n^1.5) algorithm on an n-node plane: its optimal
-// over-relaxation factor approaches 2 as the grid grows, so the sweep count
-// climbs with resolution and BENCH_pdn_droop.json showed the parallel sweeps
-// barely breaking even — the win left on the table was algorithmic.  A
-// geometric V-cycle attacks each error wavelength on the level where it is
-// high-frequency: a few red-black sweeps per level kill the local error,
-// the residual is restricted to a half-resolution grid, and the recursion
-// bottoms out in a dense Cholesky solve on a handful of nodes.  Convergence
-// per cycle is grid-size-independent (~0.05-0.1 contraction), so a
-// converged solve costs a constant ~30-40 fine-sweep equivalents where SOR
-// needs hundreds and growing.
+// Plain relaxation (Jacobi, Gauss-Seidel, SOR) is an O(n^1.5) algorithm on
+// an n-node plane: each sweep moves information one node, so the sweep
+// count climbs with resolution.  A geometric V-cycle attacks each error
+// wavelength on the level where it is high-frequency: a red-black sweep
+// per level kills the local error, the residual is restricted to a
+// half-resolution grid, and the recursion bottoms out in a dense Cholesky
+// solve on a handful of nodes.  Convergence per cycle is
+// grid-size-independent (~0.05-0.1 contraction), so a converged solve
+// costs a constant ~30-40 fine-sweep equivalents at any resolution.
 //
 // Construction is purely topological — conductances, shunts and the
 // Dirichlet set — so ResistiveGrid caches the hierarchy exactly like its
@@ -56,12 +54,19 @@ class MultigridHierarchy {
   /// Captures the coarse operators for `fine`'s current topology.  The
   /// fine grid must outlive the hierarchy and must not change topology
   /// while it is in use (ResistiveGrid enforces this by resetting its
-  /// cached hierarchy on every topology edit).  `coarsest_nodes` bounds
-  /// the direct-solve level.  Throws wsp::Error if the coarsest operator
-  /// is not positive definite (an ungrounded grid — no Dirichlet node or
-  /// shunt reaches it), which SOR would fail to converge on too.
-  MultigridHierarchy(const ResistiveGrid& fine, int coarsest_nodes);
+  /// cached hierarchy on every topology edit).  Throws wsp::Error if the
+  /// coarsest operator is not positive definite (an ungrounded grid — no
+  /// Dirichlet node or shunt reaches it): such a system has no unique
+  /// solution.
+  explicit MultigridHierarchy(const ResistiveGrid& fine);
 
+  /// Solves the fine-level problem `A v = b(sink)` in place from the seed
+  /// in `v`: a full-multigrid bootstrap, then V-cycles until the update
+  /// (or the error it implies) drops below `tol`.  Fills every SolveStats
+  /// field except `residual`, which the grid computes.
+  SolveStats solve(double* v, const double* sink, double tol) const;
+
+ private:
   /// Per-solve scratch: residual and coarse-level solution/rhs vectors.
   struct Workspace {
     std::vector<std::vector<double>> r;     ///< residual per level
@@ -69,39 +74,7 @@ class MultigridHierarchy {
     std::vector<std::vector<double>> sink;  ///< coarse rhs (level >= 1)
     std::vector<double> direct;             ///< coarsest dense-solve vector
   };
-  Workspace make_workspace() const;
 
-  /// Runs one V-cycle on the fine-level problem `A v = b(sink)`, updating
-  /// `v` in place.  Returns the max |update| applied to any fine node
-  /// (smoothing deltas and prolongated corrections), the convergence
-  /// metric solve() compares against tol.
-  double v_cycle(Workspace& ws, double* v, const double* sink,
-                 const SolverConfig& config) const;
-
-  /// Full-multigrid bootstrap: restricts the residual of the caller's seed
-  /// down the whole hierarchy, direct-solves the coarsest, and works back
-  /// up with one V-cycle per level, so the first fine V-cycle starts from
-  /// a near-discretization-accurate iterate instead of the raw seed.
-  /// Costs ~40% of one V-cycle on top of the level-0 work it includes and
-  /// typically replaces 2-3 full V-cycles.  Respects the seed: a good warm
-  /// start leaves a small residual and the bootstrap correction shrinks
-  /// accordingly.  Returns the max |update| like v_cycle.
-  double fmg_bootstrap(Workspace& ws, double* v, const double* sink,
-                       const SolverConfig& config) const;
-
-  int levels() const { return static_cast<int>(levels_.size()); }
-  int level_width(int level) const { return levels_[level].width; }
-  int level_height(int level) const { return levels_[level].height; }
-
-  /// Cost of one V-cycle in units of one full fine-grid red+black sweep:
-  /// smoothing sweeps plus ~1.5 sweep-equivalents of residual/transfer
-  /// work per level, weighted by level size.
-  double sweep_equivalents_per_cycle(const SolverConfig& config) const;
-
-  /// Cost of the FMG bootstrap in the same fine-sweep units.
-  double fmg_sweep_equivalents(const SolverConfig& config) const;
-
- private:
   // 1-D transfer map between a fine axis and its coarse axis.
   struct AxisMap {
     // For each fine coordinate: the two bracketing coarse indices and
@@ -145,14 +118,35 @@ class MultigridHierarchy {
     std::vector<double> prolong_w;          // 4 per fine node
   };
 
+  Workspace make_workspace() const;
+
+  /// Full-multigrid bootstrap: restricts the residual of the caller's seed
+  /// down the whole hierarchy, direct-solves the coarsest, and works back
+  /// up with one V-cycle per level, so the first fine V-cycle starts from
+  /// a near-discretization-accurate iterate instead of the raw seed.
+  /// Costs ~40% of one V-cycle on top of the level-0 work it includes and
+  /// typically replaces 2-3 full V-cycles.  Respects the seed: a good warm
+  /// start leaves a small residual and the bootstrap correction shrinks
+  /// accordingly.  Returns the max |update| applied to any fine node.
+  double fmg_bootstrap(Workspace& ws, double* v, const double* sink) const;
+
+  /// Cost of one V-cycle in units of one full fine-grid red+black sweep:
+  /// smoothing sweeps plus ~1 sweep-equivalent of residual/transfer work
+  /// per level, weighted by level size.
+  double sweep_equivalents_per_cycle() const;
+  /// Cost of the FMG bootstrap in the same fine-sweep units.
+  double fmg_sweep_equivalents() const;
+
   static AxisMap make_axis_map(int fine_n, int coarse_n);
   static Level coarsen(const Level& fine);
   static void build_stencil(Level& level);
   void build_direct_solver();
 
-  // V-cycle stages, all operating on caller-provided buffers.
+  // V-cycle stages, all operating on caller-provided buffers.  cycle()
+  // returns the max |update| applied to any node of its level (smoothing
+  // deltas and prolongated corrections).
   double cycle(std::size_t level, Workspace& ws, double* v,
-               const double* sink, const SolverConfig& config) const;
+               const double* sink) const;
   void residual(const Level& level, const double* v, const double* sink,
                 double* r) const;
   /// Full-weighting restriction: coarse_out = sign * R(fine_vals).  The

@@ -20,6 +20,11 @@ namespace {
 constexpr std::size_t kSweepGrain = 256;
 }  // namespace
 
+void SolverConfig::validate() const {
+  require(std::isfinite(tol) && tol > 0.0,
+          "solver.tol must be finite and positive");
+}
+
 ResistiveGrid::ResistiveGrid(int width, int height)
     : width_(width), height_(height) {
   require(width >= 2 && height >= 2, "ResistiveGrid needs at least 2x2 nodes");
@@ -94,15 +99,6 @@ void ResistiveGrid::set_shunt(int x, int y, double siemens, double v_ref) {
   invalidate_topology();
 }
 
-double ResistiveGrid::chebyshev_omega(int width, int height) {
-  const double rho =
-      0.5 * (std::cos(3.14159265358979323846 / width) +
-             std::cos(3.14159265358979323846 / height));
-  const double omega = 2.0 / (1.0 + std::sqrt(1.0 - rho * rho));
-  // Clamp into the open stability interval for degenerate estimates.
-  return std::min(std::max(omega, 1.0), 1.999);
-}
-
 void ResistiveGrid::rebuild_stencil() {
   stencil_[0].clear();
   stencil_[1].clear();
@@ -149,17 +145,16 @@ void ResistiveGrid::invalidate_topology() {
   hierarchy_.reset();
 }
 
-void ResistiveGrid::prepare_solvers(const SolverConfig& config) {
+void ResistiveGrid::prepare_solvers() {
   if (!stencil_valid_) rebuild_stencil();
-  if (config.method == SolverMethod::Multigrid && hierarchy_ == nullptr)
-    hierarchy_ = std::make_unique<MultigridHierarchy>(*this,
-                                                      config.coarsest_nodes);
+  if (hierarchy_ == nullptr)
+    hierarchy_ = std::make_unique<MultigridHierarchy>(*this);
 }
 
 double ResistiveGrid::sweep_color(const std::vector<StencilNode>& nodes,
                                   double omega, double* v,
                                   const double* sink) {
-  WSP_TRACE_SPAN("pdn.sor.sweep");
+  WSP_TRACE_SPAN("pdn.mg.smooth");
   // Every node of one color reads only other-color neighbours (and its own
   // previous value) and writes only itself, so chunks are data-independent
   // and the half-sweep is bit-identical for any thread count.  The grain
@@ -247,7 +242,7 @@ void ResistiveGrid::bind_metrics(obs::MetricsRegistry* registry,
     return;
   }
   metrics_.solves = &registry->counter(prefix + "solves");
-  metrics_.sweeps = &registry->counter(prefix + "sweeps");
+  metrics_.cycles = &registry->counter(prefix + "cycles");
   metrics_.converged = &registry->counter(prefix + "converged");
   metrics_.residual_a = &registry->gauge(prefix + "residual_a");
   metrics_.max_delta_v = &registry->gauge(prefix + "max_delta_v");
@@ -256,108 +251,24 @@ void ResistiveGrid::bind_metrics(obs::MetricsRegistry* registry,
 void ResistiveGrid::record_solve(const SolveStats& stats) {
   if (metrics_.solves == nullptr) return;
   metrics_.solves->add();
-  metrics_.sweeps->add(static_cast<std::uint64_t>(stats.iterations));
+  metrics_.cycles->add(static_cast<std::uint64_t>(stats.iterations));
   if (stats.converged) metrics_.converged->add();
   metrics_.residual_a->set(stats.residual);
   metrics_.max_delta_v->set(stats.max_delta_v);
 }
 
-SolveStats ResistiveGrid::solve_sor_on(std::span<double> v,
-                                       std::span<const double> sink,
-                                       double tol, int max_iterations,
-                                       double omega) {
-  WSP_TRACE_SPAN("pdn.sor.solve");
-  if (omega <= 0.0) omega = chebyshev_omega(width_, height_);
-  require(omega > 0.0 && omega < 2.0, "SOR omega must be in (0,2)");
-
-  SolveStats stats;
-  for (int it = 0; it < max_iterations; ++it) {
-    const double red_delta =
-        sweep_color(stencil_[0], omega, v.data(), sink.data());
-    const double black_delta =
-        sweep_color(stencil_[1], omega, v.data(), sink.data());
-    const double max_delta = std::max(red_delta, black_delta);
-    stats.iterations = it + 1;
-    stats.max_delta_v = max_delta;
-    if (max_delta < tol) {
-      stats.converged = true;
-      break;
-    }
-  }
-  stats.fine_sweep_equivalents = stats.iterations;
-  stats.residual = max_kcl_residual(v, sink);
-  return stats;
-}
-
-SolveStats ResistiveGrid::solve_multigrid_on(std::span<double> v,
-                                             std::span<const double> sink,
-                                             const SolverConfig& config) {
+SolveStats ResistiveGrid::solve_on(std::span<double> v,
+                                   std::span<const double> sink, double tol) {
   WSP_TRACE_SPAN("pdn.mg.solve");
-  require(config.tol > 0.0, "multigrid tol must be positive");
-  MultigridHierarchy::Workspace ws = hierarchy_->make_workspace();
-  SolveStats stats;
-  double bootstrap_equivalents = 0.0;
-  if (config.fmg) {
-    // The bootstrap counts as the first iteration: it can converge solves
-    // with a warm seed outright (its correction is tol-comparable).
-    const double max_delta =
-        hierarchy_->fmg_bootstrap(ws, v.data(), sink.data(), config);
-    stats.iterations = 1;
-    stats.max_delta_v = max_delta;
-    stats.converged = max_delta < config.tol;
-    bootstrap_equivalents = hierarchy_->fmg_sweep_equivalents(config);
-  }
-  if (!stats.converged) {
-    double prev_delta = 0.0;
-    for (int it = stats.iterations; it < config.cycles; ++it) {
-      const double max_delta = hierarchy_->v_cycle(ws, v.data(), sink.data(),
-                                                   config);
-      stats.iterations = it + 1;
-      stats.max_delta_v = max_delta;
-      if (max_delta < config.tol) {
-        stats.converged = true;
-        break;
-      }
-      // For a linearly converging iteration the remaining error after an
-      // update of size d is bounded by d * rho / (1 - rho).  A V-cycle
-      // contracts at a grid-size-independent rho ~ 0.05, so once two
-      // consecutive cycles establish the rate, the solve can stop as soon
-      // as the *error* estimate clears tol instead of burning one more
-      // cycle pushing the update itself below it.  The clamp keeps the
-      // estimate meaningful (and positive) while the rate is still
-      // settling or the iteration is not contracting.
-      if (prev_delta > 0.0 && max_delta < prev_delta) {
-        const double rho = std::min(max_delta / prev_delta, 0.5);
-        if (max_delta * rho / (1.0 - rho) < config.tol) {
-          stats.converged = true;
-          break;
-        }
-      }
-      prev_delta = max_delta;
-    }
-  }
-  stats.fine_sweep_equivalents =
-      bootstrap_equivalents +
-      (stats.iterations - (config.fmg ? 1 : 0)) *
-          hierarchy_->sweep_equivalents_per_cycle(config);
+  SolveStats stats = hierarchy_->solve(v.data(), sink.data(), tol);
   stats.residual = max_kcl_residual(v, sink);
-  return stats;
-}
-
-SolveStats ResistiveGrid::solve(double tol, int max_iterations, double omega) {
-  if (!stencil_valid_) rebuild_stencil();
-  const SolveStats stats = solve_sor_on(v_, sink_, tol, max_iterations, omega);
-  record_solve(stats);
   return stats;
 }
 
 SolveStats ResistiveGrid::solve(const SolverConfig& config) {
-  prepare_solvers(config);
-  const SolveStats stats =
-      config.method == SolverMethod::Multigrid
-          ? solve_multigrid_on(v_, sink_, config)
-          : solve_sor_on(v_, sink_, config.tol, config.max_iterations,
-                         config.omega);
+  config.validate();
+  prepare_solvers();
+  const SolveStats stats = solve_on(v_, sink_, config.tol);
   record_solve(stats);
   return stats;
 }
@@ -366,6 +277,7 @@ void ResistiveGrid::solve_batch(std::span<const RhsView> rhs,
                                 std::span<SolveStats> stats,
                                 const SolverConfig& config) {
   WSP_TRACE_SPAN("pdn.solve_batch");
+  config.validate();
   require(stats.size() == rhs.size(),
           "solve_batch needs one SolveStats per RhsView");
   const std::size_t nodes = node_count();
@@ -373,7 +285,7 @@ void ResistiveGrid::solve_batch(std::span<const RhsView> rhs,
     require(r.sink.size() == nodes && r.v.size() == nodes,
             "RhsView spans must cover every grid node");
   }
-  prepare_solvers(config);
+  prepare_solvers();
 
   // Reset the Dirichlet entries of every seed from the grid's fixed values
   // up front — the solvers assume they hold and never write them.
@@ -391,10 +303,7 @@ void ResistiveGrid::solve_batch(std::span<const RhsView> rhs,
       rhs.size(),
       [&](std::size_t b, std::size_t e) {
         for (std::size_t k = b; k < e; ++k) {
-          stats[k] = config.method == SolverMethod::Multigrid
-                         ? solve_multigrid_on(rhs[k].v, rhs[k].sink, config)
-                         : solve_sor_on(rhs[k].v, rhs[k].sink, config.tol,
-                                        config.max_iterations, config.omega);
+          stats[k] = solve_on(rhs[k].v, rhs[k].sink, config.tol);
         }
       },
       1);

@@ -21,6 +21,7 @@ WaferThermal::WaferThermal(const SystemConfig& config,
   require(options.silicon_conductivity_w_mk > 0.0 &&
               options.wafer_thickness_m > 0.0 && options.cooling_w_m2k > 0.0,
           "thermal parameters must be positive");
+  options.solver.validate();
   grid_ = build_grid();
   sink_scratch_.assign(grid_.node_count(), 0.0);
 }

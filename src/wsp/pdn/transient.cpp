@@ -79,35 +79,4 @@ TransientResult simulate_load_step(const LdoParams& ldo,
       [=](double t) { return t < t_step ? i0 : i1; });
 }
 
-WaferTransientResult simulate_wafer_transient(
-    WaferPdn& pdn, const std::vector<std::vector<double>>& epoch_power_maps,
-    double epoch_s) {
-  require(epoch_s > 0.0, "epoch duration must be positive");
-  require(!epoch_power_maps.empty(), "at least one epoch power map needed");
-
-  const std::vector<PdnReport> reports = pdn.solve_batch(epoch_power_maps);
-
-  WaferTransientResult result;
-  result.epochs.reserve(reports.size());
-  result.worst_min_supply_v = reports.front().min_supply_v;
-  result.all_converged = true;
-  for (std::size_t e = 0; e < reports.size(); ++e) {
-    const PdnReport& r = reports[e];
-    WaferTransientEpoch epoch;
-    epoch.t_s = static_cast<double>(e) * epoch_s;
-    epoch.min_supply_v = r.min_supply_v;
-    epoch.max_supply_v = r.max_supply_v;
-    epoch.tiles_out_of_regulation = r.tiles_out_of_regulation;
-    epoch.converged = r.solver_converged;
-    result.epochs.push_back(epoch);
-
-    result.worst_min_supply_v =
-        std::min(result.worst_min_supply_v, r.min_supply_v);
-    result.worst_tiles_out_of_regulation = std::max(
-        result.worst_tiles_out_of_regulation, r.tiles_out_of_regulation);
-    result.all_converged = result.all_converged && r.solver_converged;
-  }
-  return result;
-}
-
 }  // namespace wsp::pdn

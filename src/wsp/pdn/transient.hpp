@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "wsp/pdn/ldo.hpp"
-#include "wsp/pdn/wafer_pdn.hpp"
 
 namespace wsp::pdn {
 
@@ -68,34 +67,5 @@ TransientResult simulate_load_step(const LdoParams& ldo,
                                    const TransientParams& params,
                                    double i0, double i1, double t_step,
                                    double duration_s);
-
-/// One epoch of a wafer-level quasi-static transient.
-struct WaferTransientEpoch {
-  double t_s = 0.0;
-  double min_supply_v = 0.0;
-  double max_supply_v = 0.0;
-  int tiles_out_of_regulation = 0;
-  bool converged = false;
-};
-
-/// Result of sweeping a sequence of power maps through the plane solver.
-struct WaferTransientResult {
-  std::vector<WaferTransientEpoch> epochs;
-  double worst_min_supply_v = 0.0;  ///< deepest droop over the whole run
-  int worst_tiles_out_of_regulation = 0;
-  bool all_converged = false;
-};
-
-/// Quasi-static wafer transient: each epoch's per-tile power map (watts,
-/// TileGrid::index_of order) gets its own steady-state plane solve.  Valid
-/// when the epoch duration is long against the plane RC (~ns), which holds
-/// for NoC-activity epochs (~us).  All epochs share `pdn`'s one cached
-/// topology and are solved as a single WaferPdn::solve_batch — the
-/// PDN<->NoC coupling loop (activity -> power map -> droop -> BER) calls
-/// this once per coupling window instead of issuing per-epoch solves.
-/// Deterministic: results are bit-identical at any thread count.
-WaferTransientResult simulate_wafer_transient(
-    WaferPdn& pdn, const std::vector<std::vector<double>>& epoch_power_maps,
-    double epoch_s);
 
 }  // namespace wsp::pdn

@@ -27,6 +27,7 @@ WaferPdn::WaferPdn(const SystemConfig& config, const WaferPdnOptions& options)
   require(options.powered_edges[0] || options.powered_edges[1] ||
               options.powered_edges[2] || options.powered_edges[3],
           "at least one wafer edge must be powered");
+  options.solver.validate();
   grid_ = build_grid();
   sink_scratch_.assign(grid_.node_count(), 0.0);
 }

@@ -43,9 +43,9 @@ struct WaferPdnOptions {
   std::array<bool, 4> powered_edges{true, true, true, true};
   LoadModel load_model = LoadModel::ConstantCurrent;
   LdoParams ldo{};
-  /// Plane-solver selection and tuning (SOR vs multigrid).  The grid
-  /// topology is fixed per WaferPdn, so the multigrid hierarchy is built
-  /// once and amortized over every solve / batch / brownout re-solve.
+  /// Plane-solver tolerance.  The grid topology is fixed per WaferPdn, so
+  /// the multigrid hierarchy is built once and amortized over every
+  /// solve / batch / brownout re-solve.
   SolverConfig solver{};
 };
 
@@ -152,7 +152,7 @@ class WaferPdn {
   Ldo ldo_;
   obs::MetricsRegistry* metrics_ = nullptr;
   // The plane model, built once: topology (conductances, Dirichlet edges)
-  // never changes after construction, so the hoisted stencil and any
+  // never changes after construction, so the hoisted stencil and the
   // multigrid hierarchy survive for the WaferPdn's whole lifetime.
   ResistiveGrid grid_;
   std::vector<double> sink_scratch_;  // node sinks staged per solve

@@ -894,6 +894,8 @@ std::uint32_t DegradationCampaign::options_fingerprint() const {
   w.f64(p.pdn.ldo.quiescent_a);
   w.f64(p.pdn.ldo.max_load_a);
   w.f64(p.pdn.ldo.line_regulation);
+  // The solver tolerance sets the voltages, hence BER, hence the trials.
+  w.f64(p.pdn.solver.tol);
   w.f64(p.activity);
   w.f64(p.brownout_load_factor);
 

@@ -73,7 +73,19 @@ namespace {
 class SyntheticGenerator final : public TrafficGenerator {
  public:
   SyntheticGenerator(const WorkloadSpec& spec, const FaultMap& faults)
-      : faults_(faults), config_(spec.synthetic), rng_(spec.seed) {}
+      : faults_(faults), config_(spec.synthetic), rng_(spec.seed) {
+    // Range checks reject NaN too.  An off-grid hotspot would otherwise
+    // surface as "unreachable" transactions — bad config posing as fault
+    // damage in campaign metrics.
+    require(config_.injection_rate >= 0.0 && config_.injection_rate <= 1.0,
+            "synthetic: injection_rate must be a probability");
+    require(config_.hotspot_fraction >= 0.0 &&
+                config_.hotspot_fraction <= 1.0,
+            "synthetic: hotspot_fraction must be a probability");
+    require(config_.pattern != noc::TrafficPattern::Hotspot ||
+                faults.grid().contains(config_.hotspot),
+            "synthetic: hotspot must lie inside the grid");
+  }
 
   const char* name() const override { return "synthetic"; }
 
@@ -403,6 +415,9 @@ class SpikingBurstGenerator final : public TrafficGenerator {
  public:
   SpikingBurstGenerator(const WorkloadSpec& spec, const FaultMap& faults)
       : opts_(spec.spiking), faults_(faults), rng_(spec.seed) {
+    require(opts_.hotspot == TileCoord{-1, -1} ||
+                faults.grid().contains(opts_.hotspot),
+            "spiking: hotspot must lie inside the grid or be (-1,-1)");
     require(opts_.background_rate >= 0.0 && opts_.background_rate <= 1.0,
             "spiking: background_rate must be a probability");
     require(opts_.burst_rate >= 0.0 && opts_.burst_rate <= 1.0,

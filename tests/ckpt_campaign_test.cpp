@@ -178,14 +178,20 @@ TEST(CampaignCkpt, ForeignFingerprintRefusesToResume) {
   ck.path = ckpt_file.path();
   original.run_trials_checkpointed(2, ck);
 
-  CampaignOptions other_options = small_campaign();
-  other_options.injection_rate = 0.03;  // behaviourally different campaign
-  const DegradationCampaign other(other_options);
-  try {
-    other.run_trials_checkpointed(2, ck);
-    FAIL() << "expected ckpt::Error";
-  } catch (const ckpt::Error& e) {
-    EXPECT_EQ(e.kind(), ckpt::ErrorKind::SchemaMismatch);
+  // Behaviourally different campaigns: more traffic, or a looser PDN
+  // solver tolerance (it sets the voltages, hence BER, hence the trials).
+  CampaignOptions busier = small_campaign();
+  busier.injection_rate = 0.03;
+  CampaignOptions looser = small_campaign();
+  looser.pdn.pdn.solver.tol = 1e-5;
+  for (const CampaignOptions& other_options : {busier, looser}) {
+    const DegradationCampaign other(other_options);
+    try {
+      other.run_trials_checkpointed(2, ck);
+      ADD_FAILURE() << "expected ckpt::Error";
+    } catch (const ckpt::Error& e) {
+      EXPECT_EQ(e.kind(), ckpt::ErrorKind::SchemaMismatch);
+    }
   }
 }
 
@@ -324,6 +330,11 @@ TEST(CampaignCkpt, FingerprintTracksBehaviouralOptionsOnly) {
   CampaignOptions reseeded = small_campaign();
   reseeded.seed = 12;
   EXPECT_NE(DegradationCampaign(reseeded).options_fingerprint(),
+            a.options_fingerprint());
+
+  CampaignOptions retolerated = small_campaign();
+  retolerated.pdn.pdn.solver.tol = 1e-5;
+  EXPECT_NE(DegradationCampaign(retolerated).options_fingerprint(),
             a.options_fingerprint());
 
   // The mesh shard count is a parallel-grain knob, not campaign identity:

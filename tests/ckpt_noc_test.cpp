@@ -305,7 +305,7 @@ TEST(PdnCkpt, GridResumesWithSolutionSeed) {
   };
 
   pdn::ResistiveGrid grid = build();
-  grid.solve(1e-6);
+  grid.solve({.tol = 1e-6});
   ckpt::Writer w;
   grid.save_state(w);
 
@@ -318,8 +318,8 @@ TEST(PdnCkpt, GridResumesWithSolutionSeed) {
   // The restored solution seeds the next solve: tightening the tolerance
   // from the snapshot must cost both grids the same iteration count and
   // land on bit-identical voltages.
-  const pdn::SolveStats sa = grid.solve(1e-10);
-  const pdn::SolveStats sb = resumed.solve(1e-10);
+  const pdn::SolveStats sa = grid.solve({.tol = 1e-10});
+  const pdn::SolveStats sb = resumed.solve({.tol = 1e-10});
   EXPECT_EQ(sb.iterations, sa.iterations);
   EXPECT_EQ(sb.residual, sa.residual);
   EXPECT_EQ(resumed.voltages(), grid.voltages());
@@ -332,9 +332,9 @@ TEST(PdnCkpt, GridResumesWithSolutionSeed) {
 TEST(PdnCkpt, GridResumesUnderMultigrid) {
   // The multigrid hierarchy is derived state: never serialised, rebuilt on
   // demand after a restore.  A snapshot taken mid-campaign must therefore
-  // resume byte-for-byte under SolverMethod::Multigrid too — same cycle
-  // count, same voltages — with the resumed grid paying only a hierarchy
-  // rebuild, not a different iteration history.
+  // resume byte-for-byte through the batched path too — same cycle count,
+  // same voltages — with the resumed grid paying only a hierarchy rebuild,
+  // not a different iteration history.
   auto build = [] {
     pdn::ResistiveGrid g(24, 24);
     g.fill_conductances(2.0, 1.5);
@@ -344,12 +344,8 @@ TEST(PdnCkpt, GridResumesUnderMultigrid) {
     g.set_shunt(12, 12, 0.05, 0.0);
     return g;
   };
-  pdn::SolverConfig cfg;
-  cfg.method = pdn::SolverMethod::Multigrid;
-  cfg.tol = 1e-6;
-
   pdn::ResistiveGrid grid = build();
-  EXPECT_TRUE(grid.solve(cfg).converged);
+  EXPECT_TRUE(grid.solve({.tol = 1e-6}).converged);
   ckpt::Writer w;
   grid.save_state(w);
 
@@ -359,13 +355,20 @@ TEST(PdnCkpt, GridResumesUnderMultigrid) {
   EXPECT_TRUE(r.done());
   EXPECT_EQ(resumed.voltages(), grid.voltages());
 
-  cfg.tol = 1e-10;
-  const pdn::SolveStats sa = grid.solve(cfg);
-  const pdn::SolveStats sb = resumed.solve(cfg);
+  // Both grids batch-solve a doubled load from their restored solution.
+  std::vector<double> sink = grid.current_sinks();
+  for (double& s : sink) s *= 2.0;
+  std::vector<double> va = grid.voltages();
+  std::vector<double> vb = resumed.voltages();
+  const pdn::RhsView a{sink, va};
+  const pdn::RhsView b{sink, vb};
+  pdn::SolveStats sa, sb;
+  grid.solve_batch({&a, 1}, {&sa, 1}, {.tol = 1e-10});
+  resumed.solve_batch({&b, 1}, {&sb, 1}, {.tol = 1e-10});
   EXPECT_TRUE(sa.converged);
   EXPECT_EQ(sb.iterations, sa.iterations);
   EXPECT_EQ(sb.residual, sa.residual);
-  EXPECT_EQ(resumed.voltages(), grid.voltages());
+  EXPECT_EQ(vb, va);
 }
 
 TEST(InjectorCkpt, ResumeReplaysRemainingSchedule) {

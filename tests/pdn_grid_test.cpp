@@ -1,11 +1,25 @@
 // Tests for the resistive-grid nodal solver against hand-solvable circuits.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <vector>
+
 #include "wsp/common/error.hpp"
 #include "wsp/pdn/resistive_grid.hpp"
 
 namespace wsp::pdn {
 namespace {
+
+template <typename Fn>
+std::string thrown_message(Fn&& fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "(no wsp::Error thrown)";
+}
 
 TEST(ResistiveGrid, RejectsDegenerateGrids) {
   EXPECT_THROW(ResistiveGrid(1, 5), Error);
@@ -13,16 +27,34 @@ TEST(ResistiveGrid, RejectsDegenerateGrids) {
 }
 
 TEST(ResistiveGrid, VoltageDividerTwoNodes) {
-  // 2x2 grid used as a 1-D divider: fix (0,0)=1V, (1,0)=0V via two equal
-  // resistors to a middle... simplest: 3x2, chain of two 1-ohm resistors,
-  // midpoint must sit at 0.5 V.
+  // 3x2 grid as two independent 1-D dividers: each row is a chain of two
+  // 1-ohm resistors from 1 V to 0 V, so both midpoints sit at 0.5 V.
+  // (Both rows are driven: an undriven row would be a floating island.)
   ResistiveGrid g(3, 2);
-  g.fill_conductances(1.0, 0.0);  // horizontal chain only
-  g.set_dirichlet(0, 0, 1.0);
-  g.set_dirichlet(2, 0, 0.0);
-  const SolveStats stats = g.solve(1e-10);
+  g.fill_conductances(1.0, 0.0);  // horizontal chains only
+  for (int y = 0; y < 2; ++y) {
+    g.set_dirichlet(0, y, 1.0);
+    g.set_dirichlet(2, y, 0.0);
+  }
+  const SolveStats stats = g.solve({.tol = 1e-10});
   EXPECT_TRUE(stats.converged);
   EXPECT_NEAR(g.voltage(1, 0), 0.5, 1e-8);
+  EXPECT_NEAR(g.voltage(1, 1), 0.5, 1e-8);
+}
+
+TEST(ResistiveGrid, FloatingRegionIsRejected) {
+  // A connected region no Dirichlet node or shunt reaches has no unique
+  // solution; the solve names the defect instead of returning an
+  // arbitrary offset.  With these conductances the island's last Cholesky
+  // pivot cancels to a tiny positive rounding residue, not exactly zero.
+  ResistiveGrid g(3, 2);
+  g.fill_conductances(0.137, 0.0);
+  g.set_conductance_east(0, 1, 0.1);
+  g.set_conductance_east(1, 1, 0.113);
+  g.set_dirichlet(0, 0, 1.0);  // row 1 stays an ungrounded island
+  EXPECT_EQ(thrown_message([&] { g.solve(); }),
+            "multigrid coarsest operator is not positive definite — the "
+            "grid has a floating region no Dirichlet node or shunt grounds");
 }
 
 TEST(ResistiveGrid, OhmsLawSingleSink) {
@@ -32,7 +64,7 @@ TEST(ResistiveGrid, OhmsLawSingleSink) {
   g.set_conductance_east(0, 0, 2.0);
   g.set_dirichlet(0, 0, 1.0);
   g.set_current_sink(1, 0, 1.0);
-  const SolveStats stats = g.solve(1e-12);
+  const SolveStats stats = g.solve({.tol = 1e-12});
   EXPECT_TRUE(stats.converged);
   EXPECT_NEAR(g.voltage(1, 0), 0.5, 1e-9);
   // KCL at the supply: it must deliver exactly the sink current.
@@ -53,7 +85,7 @@ TEST(ResistiveGrid, SymmetricLoadGivesSymmetricSolution) {
     g.set_dirichlet(8, y, 1.0);
   }
   g.set_current_sink(4, 4, 0.1);
-  ASSERT_TRUE(g.solve(1e-11).converged);
+  ASSERT_TRUE(g.solve({.tol = 1e-11}).converged);
   // 4-fold symmetry of the Laplace solution.
   EXPECT_NEAR(g.voltage(3, 4), g.voltage(5, 4), 1e-8);
   EXPECT_NEAR(g.voltage(4, 3), g.voltage(4, 5), 1e-8);
@@ -73,7 +105,7 @@ TEST(ResistiveGrid, MaximumPrincipleNoSinks) {
     g.set_dirichlet(x, 0, 1.0);
     g.set_dirichlet(x, 5, 2.0);
   }
-  ASSERT_TRUE(g.solve(1e-11).converged);
+  ASSERT_TRUE(g.solve({.tol = 1e-11}).converged);
   for (int y = 1; y < 5; ++y)
     for (int x = 0; x < 6; ++x) {
       EXPECT_GE(g.voltage(x, y), 1.0 - 1e-9);
@@ -91,7 +123,7 @@ TEST(ResistiveGrid, CurrentConservationManySinks) {
       g.set_current_sink(x, y, 0.01);
       total_load += 0.01;
     }
-  ASSERT_TRUE(g.solve(1e-11).converged);
+  ASSERT_TRUE(g.solve({.tol = 1e-11}).converged);
   EXPECT_NEAR(g.total_supply_current(), total_load, 1e-5);
 }
 
@@ -103,7 +135,7 @@ TEST(ResistiveGrid, DeeperNodesDroopMore) {
   for (int x = 0; x < 8; ++x) g.set_dirichlet(x, 0, 1.0);
   for (int y = 1; y < 8; ++y)
     for (int x = 0; x < 8; ++x) g.set_current_sink(x, y, 0.001);
-  ASSERT_TRUE(g.solve(1e-11).converged);
+  ASSERT_TRUE(g.solve({.tol = 1e-11}).converged);
   for (int y = 1; y < 7; ++y)
     EXPECT_GT(g.voltage(4, y), g.voltage(4, y + 1));
 }
@@ -113,10 +145,10 @@ TEST(ResistiveGrid, SolverSeedsFromPreviousSolution) {
   g.fill_conductances(1.0, 1.0);
   for (int x = 0; x < 10; ++x) g.set_dirichlet(x, 0, 1.0);
   g.set_current_sink(5, 5, 0.01);
-  const SolveStats cold = g.solve(1e-10);
+  const SolveStats cold = g.solve({.tol = 1e-10});
   ASSERT_TRUE(cold.converged);
   // Re-solving the identical system from the converged state is ~free.
-  const SolveStats warm = g.solve(1e-10);
+  const SolveStats warm = g.solve({.tol = 1e-10});
   EXPECT_TRUE(warm.converged);
   EXPECT_LE(warm.iterations, 2);
 }
@@ -130,7 +162,7 @@ TEST(ResistiveGrid, ResidualReportsKirchhoffCurrentLaw) {
   for (int x = 0; x < 8; ++x) g.set_dirichlet(x, 0, 1.5);
   for (int y = 1; y < 8; ++y)
     for (int x = 0; x < 8; ++x) g.set_current_sink(x, y, 0.002);
-  const SolveStats stats = g.solve(1e-12);
+  const SolveStats stats = g.solve({.tol = 1e-12});
   ASSERT_TRUE(stats.converged);
 
   double max_kcl = 0.0;
@@ -153,57 +185,30 @@ TEST(ResistiveGrid, ResidualReportsKirchhoffCurrentLaw) {
   EXPECT_LT(stats.max_delta_v, 1e-12);
 }
 
-TEST(ResistiveGrid, ChebyshevOmegaBeatsHandTunedConstant) {
-  // The auto omega derived from the grid dimensions must converge in
-  // (meaningfully) fewer sweeps than the legacy hand-tuned 1.9, which
-  // over-relaxes smaller grids badly.
-  const double omega_auto = ResistiveGrid::chebyshev_omega(16, 16);
-  EXPECT_GT(omega_auto, 1.0);
-  EXPECT_LT(omega_auto, 2.0);
-
-  // The configuration the estimate models (and the wafer's primary
-  // workload): supply on all four edges, loads in the interior.
-  auto iterations_with = [](double omega) {
-    ResistiveGrid g(16, 16);
-    g.fill_conductances(1.0, 1.0);
-    for (int x = 0; x < 16; ++x) {
-      g.set_dirichlet(x, 0, 1.0);
-      g.set_dirichlet(x, 15, 1.0);
-    }
-    for (int y = 0; y < 16; ++y) {
-      g.set_dirichlet(0, y, 1.0);
-      g.set_dirichlet(15, y, 1.0);
-    }
-    for (int y = 1; y < 15; ++y)
-      for (int x = 1; x < 15; ++x) g.set_current_sink(x, y, 1e-3);
-    const SolveStats s = g.solve(1e-10, 200000, omega);
-    EXPECT_TRUE(s.converged);
-    return s.iterations;
-  };
-
-  const int auto_iters = iterations_with(0.0);   // 0 = Chebyshev default
-  const int tuned_iters = iterations_with(1.9);  // the old constant
-  EXPECT_LT(auto_iters, tuned_iters / 2);
-}
-
-TEST(ResistiveGrid, ChebyshevOmegaGrowsWithGridSize) {
-  // Larger grids have slower Jacobi modes and need stronger
-  // over-relaxation: omega* is monotone in the grid dimension.
-  double prev = 1.0;
-  for (const int n : {4, 8, 16, 32, 64, 128}) {
-    const double omega = ResistiveGrid::chebyshev_omega(n, n);
-    EXPECT_GT(omega, prev);
-    EXPECT_LT(omega, 2.0);
-    prev = omega;
-  }
-}
-
 TEST(ResistiveGrid, InvalidArgumentsThrow) {
   ResistiveGrid g(4, 4);
   EXPECT_THROW(g.set_conductance_east(3, 0, 1.0), Error);  // off the edge
   EXPECT_THROW(g.set_conductance_north(0, 3, 1.0), Error);
   EXPECT_THROW(g.set_conductance_east(0, 0, -1.0), Error);
-  EXPECT_THROW(g.solve(1e-9, 100, 2.5), Error);  // omega out of range
+
+  // A NaN tolerance used to spin the iteration to its cap; every
+  // non-finite or non-positive value is now rejected by name.
+  g.fill_conductances(1.0, 1.0);
+  g.set_dirichlet(0, 0, 1.0);
+  std::vector<double> v(g.node_count(), 0.0);
+  const std::vector<double> sink(g.node_count(), 0.0);
+  const RhsView view{sink, v};
+  SolveStats stats;
+  for (const double tol : {std::nan(""), 0.0, -1.0}) {
+    EXPECT_EQ(thrown_message([&] { g.solve({.tol = tol}); }),
+              "solver.tol must be finite and positive")
+        << "tol=" << tol;
+    EXPECT_EQ(thrown_message([&] {
+                g.solve_batch({&view, 1}, {&stats, 1}, {.tol = tol});
+              }),
+              "solver.tol must be finite and positive")
+        << "tol=" << tol;
+  }
 }
 
 }  // namespace

@@ -255,6 +255,18 @@ TEST(WaferPdnPreconditions, SolveBatchValidatesEveryMap) {
             "tile power vector size mismatch");
 }
 
+TEST(WaferPdnPreconditions, RejectsInvalidSolverTolerance) {
+  for (const double tol :
+       {std::numeric_limits<double>::quiet_NaN(), 0.0, -1.0}) {
+    WaferPdnOptions opt;
+    opt.solver.tol = tol;
+    EXPECT_EQ(
+        thrown_message([&] { WaferPdn(SystemConfig::reduced(4, 4), opt); }),
+        "solver.tol must be finite and positive")
+        << "tol=" << tol;
+  }
+}
+
 TEST(WaferPdnPreconditions, SolveBatchWarmValidatesSeeds) {
   WaferPdn pdn(SystemConfig::reduced(4, 4), {});
   std::vector<std::vector<double>> maps(2, std::vector<double>(16, 1.0));

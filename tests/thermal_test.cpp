@@ -3,6 +3,7 @@
 // nodal solver it relies on.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <numeric>
 
 #include "wsp/common/error.hpp"
@@ -19,7 +20,7 @@ TEST(ResistiveGridShunt, DividerAgainstReference) {
   ResistiveGrid g(2, 2);
   g.set_shunt(0, 0, 2.0, 0.0);
   g.set_current_sink(0, 0, -1.0);  // inject
-  ASSERT_TRUE(g.solve(1e-12).converged);
+  ASSERT_TRUE(g.solve({.tol = 1e-12}).converged);
   EXPECT_NEAR(g.voltage(0, 0), 0.5, 1e-9);
 }
 
@@ -27,7 +28,7 @@ TEST(ResistiveGridShunt, ReferenceOffsetRespected) {
   ResistiveGrid g(2, 2);
   g.set_shunt(1, 1, 1.0, 25.0);
   g.set_current_sink(1, 1, -10.0);
-  ASSERT_TRUE(g.solve(1e-12).converged);
+  ASSERT_TRUE(g.solve({.tol = 1e-12}).converged);
   EXPECT_NEAR(g.voltage(1, 1), 35.0, 1e-8);
   EXPECT_THROW(g.set_shunt(0, 0, -1.0, 0.0), Error);
 }
@@ -119,6 +120,16 @@ TEST(WaferThermal, ValidatesInputs) {
   WaferThermal ok(cfg(), {});
   EXPECT_THROW(ok.solve(std::vector<double>(5, 0.0)), Error);
   EXPECT_THROW(ok.solve_uniform(2.0), Error);
+  for (const double tol : {std::nan(""), 0.0, -1.0}) {
+    bad = {};
+    bad.solver.tol = tol;
+    try {
+      WaferThermal thermal(cfg(), bad);
+      ADD_FAILURE() << "tol=" << tol << " accepted";
+    } catch (const Error& e) {
+      EXPECT_STREQ(e.what(), "solver.tol must be finite and positive");
+    }
+  }
 }
 
 }  // namespace

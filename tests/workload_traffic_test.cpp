@@ -6,6 +6,7 @@
 // full 32x32 dual-network wafer.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -349,6 +350,49 @@ TEST(CoupledWafer, AllClassesBitIdenticalAcrossThreadCountsOn32x32) {
     }
     exec::set_shared_threads(0);
   }
+}
+
+// --- spec validation --------------------------------------------------------
+
+TEST(SpecValidation, OutOfRangeFieldsAreRejectedByName) {
+  const SystemConfig config = SystemConfig::reduced(16, 16);
+  const auto rejection = [&](const WorkloadSpec& spec) -> std::string {
+    try {
+      make_generator(spec, config, FaultMap(config.grid()));
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "(accepted)";
+  };
+  for (const double bad : {std::nan(""), -0.1, 7.0}) {
+    WorkloadSpec s = spec_for(WorkloadClass::Synthetic);
+    s.synthetic.injection_rate = bad;
+    EXPECT_EQ(rejection(s), "synthetic: injection_rate must be a probability")
+        << bad;
+    s = spec_for(WorkloadClass::Synthetic);
+    s.synthetic.hotspot_fraction = bad;
+    EXPECT_EQ(rejection(s), "synthetic: hotspot_fraction must be a probability")
+        << bad;
+  }
+  for (const TileCoord bad : {TileCoord{99, 99}, TileCoord{-1, 3}}) {
+    WorkloadSpec s = spec_for(WorkloadClass::Synthetic);
+    s.synthetic.pattern = noc::TrafficPattern::Hotspot;
+    s.synthetic.hotspot = bad;
+    EXPECT_EQ(rejection(s), "synthetic: hotspot must lie inside the grid");
+    s = spec_for(WorkloadClass::SpikingBurst);
+    s.spiking.hotspot = bad;
+    EXPECT_EQ(rejection(s),
+              "spiking: hotspot must lie inside the grid or be (-1,-1)");
+  }
+  // In-range edges and the random-centre sentinel stay accepted.
+  WorkloadSpec s = spec_for(WorkloadClass::Synthetic);
+  s.synthetic.injection_rate = 1.0;
+  s.synthetic.pattern = noc::TrafficPattern::Hotspot;
+  s.synthetic.hotspot = {15, 15};
+  EXPECT_EQ(rejection(s), "(accepted)");
+  s = spec_for(WorkloadClass::SpikingBurst);
+  s.spiking.hotspot = {-1, -1};
+  EXPECT_EQ(rejection(s), "(accepted)");
 }
 
 // --- campaign wiring --------------------------------------------------------
